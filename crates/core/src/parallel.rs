@@ -49,7 +49,6 @@
 //! the post-processing phase, reported separately so the `thread_scaling`
 //! benchmark can show the parallel-postprocessing win on its own).
 
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -61,7 +60,7 @@ use skinner_exec::{
     ExecutionStrategy, QueryResult, Span, SpanTimer, TupleIxs, TupleRange, WorkBudget, WorkerPool,
 };
 use skinner_query::JoinQuery;
-use skinner_storage::RowId;
+use skinner_storage::{FastMap, RowId};
 use skinner_uct::SharedUctTree;
 
 use crate::cache::CacheProbe;
@@ -279,8 +278,8 @@ pub fn run_parallel_skinner(
 
     let mut offsets: Vec<RowId> = vec![0; m];
     let mut global_results = ResultSet::new();
-    let mut order_infos: HashMap<Box<[u8]>, Arc<OrderInfo>> = HashMap::new();
-    let mut order_counts: HashMap<Box<[u8]>, u64> = HashMap::new();
+    let mut order_infos: FastMap<Box<[u8]>, Arc<OrderInfo>> = FastMap::default();
+    let mut order_counts: FastMap<Box<[u8]>, u64> = FastMap::default();
     let mut tree_growth: Vec<(u64, usize)> = Vec::new();
     let mut worker_metrics: Vec<ExecMetrics> = Vec::new();
     let mut episodes = 0u64;

@@ -1,6 +1,5 @@
 //! The Skinner-C main loop (paper Algorithm 3).
 
-use std::collections::HashMap;
 use std::time::Instant;
 
 use rand::rngs::StdRng;
@@ -10,7 +9,7 @@ use skinner_exec::{
     postprocess, ExecContext, ExecMetrics, ExecOutcome, QueryResult, Span, SpanTimer, WorkBudget,
 };
 use skinner_query::{JoinGraph, JoinQuery, TableSet};
-use skinner_storage::RowId;
+use skinner_storage::{FastMap, RowId};
 use skinner_uct::{UctConfig, UctTree};
 
 use crate::cache::CacheProbe;
@@ -85,8 +84,8 @@ pub fn run_skinner_c(query: &JoinQuery, ctx: &ExecContext, cfg: &SkinnerCConfig)
     let mut tracker = ProgressTracker::new(m, cfg.share_progress);
     let mut results = ResultSet::new();
     let mut offsets: Vec<RowId> = vec![0; m];
-    let mut order_infos: HashMap<Box<[u8]>, OrderInfo> = HashMap::new();
-    let mut order_counts: HashMap<Box<[u8]>, u64> = HashMap::new();
+    let mut order_infos: FastMap<Box<[u8]>, OrderInfo> = FastMap::default();
+    let mut order_counts: FastMap<Box<[u8]>, u64> = FastMap::default();
     let mut tree_growth: Vec<(u64, usize)> = Vec::new();
     let mut slices = 0u64;
     let mut timed_out = false;

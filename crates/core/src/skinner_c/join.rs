@@ -13,7 +13,7 @@ use std::sync::Arc;
 use skinner_exec::{Timeout, WorkBudget};
 use skinner_query::expr::{CmpOp, ColRef, EvalCtx, Expr};
 use skinner_query::JoinQuery;
-use skinner_storage::{HashIndex, RowId, Table};
+use skinner_storage::{Column, HashIndex, RowId, Table};
 
 use super::result_set::ResultSet;
 use super::state::JoinState;
@@ -30,9 +30,11 @@ pub struct MultiwayCtx {
 #[derive(Debug)]
 pub struct OrderInfo {
     pub order: Vec<usize>,
-    /// Per position: indexable equality predicates `(column on this table,
-    /// column of an earlier table)`.
-    jumps: Vec<Vec<(usize, ColRef)>>,
+    /// Indexable equality predicates `(column on this table, column of an
+    /// earlier table)`, grouped by position: position `d` owns
+    /// `jumps[jump_bounds[d]..jump_bounds[d + 1]]`.
+    jumps: Vec<(usize, ColRef)>,
+    jump_bounds: Vec<usize>,
     /// Per position: remaining predicates to evaluate (generic predicates
     /// and, with jumps disabled, equality predicates as expressions).
     checks: Vec<Vec<Expr>>,
@@ -81,12 +83,43 @@ impl OrderInfo {
             };
             checks[pos].push(p.expr.clone());
         }
+        let mut jump_bounds = vec![0];
+        let mut end = 0;
+        for level in &jumps {
+            end += level.len();
+            jump_bounds.push(end);
+        }
         OrderInfo {
             order: order.to_vec(),
-            jumps,
+            jumps: jumps.concat(),
+            jump_bounds,
             checks,
         }
     }
+
+    /// Resolve every jump against `ctx` once, so that a probe reads its
+    /// index and key column directly instead of looking them up.
+    fn resolve<'a>(&self, ctx: &'a MultiwayCtx) -> Vec<Jump<'a>> {
+        let mut out = Vec::with_capacity(self.jumps.len());
+        for (d, &ti) in self.order.iter().enumerate() {
+            for &(col, other) in &self.jumps[self.jump_bounds[d]..self.jump_bounds[d + 1]] {
+                out.push(Jump {
+                    index: &ctx.indexes[&(ti, col)],
+                    key_col: ctx.tables[other.table].column(other.col),
+                    key_table: other.table,
+                });
+            }
+        }
+        out
+    }
+}
+
+/// One index jump with its handles resolved: probe `index` with the key
+/// that `key_col` holds at the current row of table `key_table`.
+struct Jump<'a> {
+    index: &'a HashIndex,
+    key_col: &'a Column,
+    key_table: usize,
 }
 
 /// Outcome of one [`continue_join`] time slice.
@@ -98,11 +131,63 @@ pub enum SliceOutcome {
     Finished,
 }
 
+/// Slice-local work counter. It times out at exactly the unit where
+/// charging the shared budget step by step would have, and is flushed to
+/// the budget once when the slice ends.
+///
+/// Exactness rests on one invariant: **nothing else charges the budget
+/// while a slice runs.** Skinner-C's per-query budget is only touched by
+/// the single thread running its slices (pre-processing finishes before
+/// the first slice, post-processing starts after the last), and each
+/// parallel worker joins under a budget of its own. Under that invariant
+/// `budget.remaining()` read at slice start is the exact headroom, so a
+/// charge that pushes the local count past it is the charge that would
+/// have failed against the shared counter.
+struct Meter {
+    units: u64,
+    tuples: u64,
+    headroom: u64,
+}
+
+impl Meter {
+    fn new(budget: &WorkBudget) -> Self {
+        Meter {
+            units: 0,
+            tuples: 0,
+            headroom: budget.remaining(),
+        }
+    }
+
+    #[inline]
+    fn charge(&mut self, n: u64) -> Result<(), Timeout> {
+        self.units += n;
+        if self.units > self.headroom {
+            Err(Timeout)
+        } else {
+            Ok(())
+        }
+    }
+
+    #[inline]
+    fn produce_tuple(&mut self) -> Result<(), Timeout> {
+        self.tuples += 1;
+        self.charge(1)
+    }
+
+    /// Record the slice's units and tuples in `budget`, overage included,
+    /// exactly as per-step charging would have left it.
+    fn flush(self, budget: &WorkBudget) {
+        let _ = budget.produce_tuples(self.tuples);
+        let _ = budget.charge(self.units - self.tuples);
+    }
+}
+
 /// `ContinueJoin` (Algorithm 2): run the multi-way join for `order` starting
 /// from `state`, for at most `max_steps` outer-loop iterations, inserting
 /// result tuples into `results`. Offsets exclude globally fully-joined rows
 /// at every level. Work units are charged per step, index probe and
-/// predicate evaluation.
+/// predicate evaluation, counted locally and flushed to `budget` when the
+/// slice returns (see `Meter` for why that is exact).
 pub fn continue_join(
     ctx: &MultiwayCtx,
     info: &OrderInfo,
@@ -141,6 +226,28 @@ pub fn continue_join_ranged(
     results: &mut ResultSet,
     level0_end: RowId,
 ) -> Result<SliceOutcome, Timeout> {
+    let jumps = info.resolve(ctx);
+    let mut meter = Meter::new(budget);
+    let outcome = join_slice(
+        ctx, info, &jumps, state, offsets, max_steps, &mut meter, results, level0_end,
+    );
+    meter.flush(budget);
+    outcome
+}
+
+/// The body of [`continue_join_ranged`], charging `meter`.
+#[allow(clippy::too_many_arguments)]
+fn join_slice(
+    ctx: &MultiwayCtx,
+    info: &OrderInfo,
+    jumps: &[Jump<'_>],
+    state: &mut JoinState,
+    offsets: &[RowId],
+    max_steps: u64,
+    meter: &mut Meter,
+    results: &mut ResultSet,
+    level0_end: RowId,
+) -> Result<SliceOutcome, Timeout> {
     let m = info.order.len();
     let mut steps = 0u64;
     loop {
@@ -148,11 +255,14 @@ pub fn continue_join_ranged(
             return Ok(SliceOutcome::Budget);
         }
         steps += 1;
-        budget.charge(1)?;
+        meter.charge(1)?;
         let depth = state.depth;
         let ti = info.order[depth];
-        let bound = if depth == 0 { level0_end } else { RowId::MAX };
-        match next_candidate(ctx, info, state, depth, offsets, budget, bound)? {
+        let n = ctx.tables[ti].cardinality();
+        let bound = if depth == 0 { n.min(level0_end) } else { n };
+        let level_jumps = &jumps[info.jump_bounds[depth]..info.jump_bounds[depth + 1]];
+        let from = state.s[ti].max(offsets[ti]);
+        match next_candidate(level_jumps, &state.s, from, bound, meter)? {
             None => {
                 // Level exhausted: reset and backtrack.
                 state.s[ti] = offsets[ti];
@@ -169,7 +279,7 @@ pub fn continue_join_ranged(
                 let ok = if checks.is_empty() {
                     true
                 } else {
-                    budget.charge(checks.len() as u64)?;
+                    meter.charge(checks.len() as u64)?;
                     let ectx = EvalCtx::new(&ctx.tables, &state.s, &ctx.interner);
                     checks.iter().all(|c| c.eval_bool(&ectx))
                 };
@@ -177,7 +287,7 @@ pub fn continue_join_ranged(
                     state.s[ti] = row + 1;
                 } else if depth == m - 1 {
                     if results.insert(&state.s) {
-                        budget.produce_tuples(1)?;
+                        meter.produce_tuple()?;
                     }
                     state.s[ti] = row + 1;
                 } else {
@@ -190,37 +300,29 @@ pub fn continue_join_ranged(
     }
 }
 
-/// Find the next candidate row `>= max(s[ti], offset)` satisfying all
-/// indexable equality predicates at `depth`, leapfrogging across their
-/// posting lists. `None` when the level is exhausted (cardinality or the
-/// caller's `bound`, whichever is lower).
-#[allow(clippy::too_many_arguments)]
+/// Find the next candidate row in `[from, bound)` satisfying all of the
+/// level's indexable equality predicates, leapfrogging across their
+/// posting lists. `None` when the level is exhausted.
+#[inline]
 fn next_candidate(
-    ctx: &MultiwayCtx,
-    info: &OrderInfo,
-    state: &JoinState,
-    depth: usize,
-    offsets: &[RowId],
-    budget: &WorkBudget,
+    jumps: &[Jump<'_>],
+    s: &[RowId],
+    from: RowId,
     bound: RowId,
+    meter: &mut Meter,
 ) -> Result<Option<RowId>, Timeout> {
-    let ti = info.order[depth];
-    let n = ctx.tables[ti].cardinality().min(bound);
-    let mut cur = state.s[ti].max(offsets[ti]);
-    let jumps = &info.jumps[depth];
+    let mut cur = from;
     if jumps.is_empty() {
-        return Ok((cur < n).then_some(cur));
+        return Ok((cur < bound).then_some(cur));
     }
     'outer: loop {
-        if cur >= n {
+        if cur >= bound {
             return Ok(None);
         }
-        for &(col, other) in jumps {
-            budget.charge(1)?;
-            let key = ctx.tables[other.table]
-                .column(other.col)
-                .key_at(state.s[other.table]);
-            match ctx.indexes[&(ti, col)].next_match(key, cur) {
+        for j in jumps {
+            meter.charge(1)?;
+            let key = j.key_col.key_at(s[j.key_table]);
+            match j.index.next_match(key, cur) {
                 None => return Ok(None),
                 Some(m) if m > cur => {
                     cur = m;
@@ -460,6 +562,57 @@ mod tests {
             &mut results,
         );
         assert!(matches!(r, Err(Timeout)));
+    }
+
+    #[test]
+    fn slice_local_counting_times_out_exactly_like_per_step_charging() {
+        let cat = setup();
+        // Jumps at b and c, plus a generic check at c.
+        let q = bind(
+            "SELECT a.id FROM a, b, c WHERE a.id = b.aid AND b.w = c.bw AND a.id + c.bw < 6",
+            &cat,
+        );
+        let ctx = ctx_for(&q);
+        let info = OrderInfo::build(&q, &ctx, &[0, 1, 2], true);
+        assert!(!info.jumps.is_empty());
+        let max_checks = info.checks.iter().map(Vec::len).max().unwrap() as u64;
+        assert!(max_checks > 0);
+        let offsets = vec![0; q.num_tables()];
+        // Slices of 7 steps until finished, or the first timeout.
+        let run = |budget: &WorkBudget| {
+            let mut state = JoinState::fresh(&offsets);
+            let mut results = ResultSet::new();
+            loop {
+                match continue_join(&ctx, &info, &mut state, &offsets, 7, budget, &mut results) {
+                    Ok(SliceOutcome::Finished) => return Ok(results.len() as u64),
+                    Ok(SliceOutcome::Budget) => {}
+                    Err(t) => return Err(t),
+                }
+            }
+        };
+        let full = WorkBudget::unlimited();
+        let rows = run(&full).unwrap();
+        let w = full.used();
+        assert!(rows > 0 && full.tuples_produced() == rows);
+        for limit in 0..=w {
+            let budget = WorkBudget::with_limit(limit);
+            match run(&budget) {
+                Err(Timeout) => {
+                    assert!(limit < w, "timed out at limit {limit} >= full work {w}");
+                    let used = budget.used();
+                    assert!(
+                        limit < used && used <= limit + 1 + max_checks,
+                        "limit {limit}: used {used}"
+                    );
+                }
+                Ok(n) => {
+                    assert!(limit >= w, "finished under limit {limit} < full work {w}");
+                    assert_eq!(n, rows);
+                    assert_eq!(budget.used(), w);
+                    assert_eq!(budget.tuples_produced(), n);
+                }
+            }
+        }
     }
 
     #[test]

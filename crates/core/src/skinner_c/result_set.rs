@@ -3,17 +3,17 @@
 //! Different join orders can generate the same result tuple; SkinnerDB
 //! stores result *index vectors* in a set, so duplicates are eliminated
 //! structurally (paper Section 4.5 and Theorem 5.3: vectors are unique per
-//! result tuple, and set semantics keep each one once).
-
-use std::collections::HashSet;
+//! result tuple, and set semantics keep each one once). The set hashes
+//! with the process-keyed [`FastState`](skinner_storage::FastState), so
+//! drain order is a function of the inserted tuples.
 
 use skinner_exec::TupleIxs;
-use skinner_storage::RowId;
+use skinner_storage::{FastSet, RowId};
 
 /// Set of result tuples, each a row-id vector in table-position order.
 #[derive(Debug, Default)]
 pub struct ResultSet {
-    set: HashSet<TupleIxs>,
+    set: FastSet<TupleIxs>,
 }
 
 impl ResultSet {

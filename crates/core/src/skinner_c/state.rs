@@ -18,9 +18,7 @@
 //! merge position and offsets below" — the same set of result tuples is
 //! skipped, and re-derived duplicates are eliminated by the result set.
 
-use std::collections::HashMap;
-
-use skinner_storage::RowId;
+use skinner_storage::{FastMap, RowId};
 
 /// Depth-first cursor of the multi-way join for one join order.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -63,7 +61,7 @@ impl JoinState {
 
 #[derive(Debug, Default)]
 struct TrieNode {
-    children: HashMap<u8, TrieNode>,
+    children: FastMap<u8, TrieNode>,
     /// Lexicographically best cursor values for this exact prefix sequence
     /// (one per prefix position).
     best: Option<Vec<RowId>>,
@@ -72,7 +70,7 @@ struct TrieNode {
 /// Backup/restore of join states with prefix sharing.
 #[derive(Debug)]
 pub struct ProgressTracker {
-    exact: HashMap<Box<[u8]>, JoinState>,
+    exact: FastMap<Box<[u8]>, JoinState>,
     root: TrieNode,
     sharing: bool,
     num_tables: usize,
@@ -82,7 +80,7 @@ pub struct ProgressTracker {
 impl ProgressTracker {
     pub fn new(num_tables: usize, sharing: bool) -> Self {
         ProgressTracker {
-            exact: HashMap::new(),
+            exact: FastMap::default(),
             root: TrieNode::default(),
             sharing,
             num_tables,

@@ -26,12 +26,11 @@
 //! thread count" is a contract here, not an aspiration.
 
 use std::cmp::Ordering;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use skinner_query::expr::EvalCtx;
 use skinner_query::{AggFunc, JoinQuery, SelectItem};
-use skinner_storage::{DataType, Interner, Table, Value};
+use skinner_storage::{DataType, FastMap, FastSet, Interner, Table, Value};
 
 use crate::budget::{Timeout, WorkBudget};
 use crate::pool::{partition_tuples, WorkerPool};
@@ -45,7 +44,7 @@ const PARALLEL_MIN_TUPLES: usize = 256;
 /// Accumulated groups: group key → (representative tuple — the first seen,
 /// used to evaluate non-aggregate select items — and one accumulator per
 /// select position).
-type GroupMap = HashMap<Vec<u64>, (TupleIxs, Vec<AggAcc>)>;
+type GroupMap = FastMap<Vec<u64>, (TupleIxs, Vec<AggAcc>)>;
 
 /// Materialize the final result from join tuples (single-threaded).
 pub fn postprocess(
@@ -157,7 +156,7 @@ pub fn postprocess_parallel(
                 Ok(groups) => PostBody::Groups(groups),
                 Err(_) => {
                     capped = true;
-                    PostBody::Groups(HashMap::new())
+                    PostBody::Groups(GroupMap::default())
                 }
             }
         } else {
@@ -225,7 +224,7 @@ pub fn postprocess_parallel(
         // Hash-merge in chunk order: first-seen representatives win, so the
         // representative of each group is the globally earliest tuple —
         // exactly what the sequential scan picks.
-        let mut merged = GroupMap::new();
+        let mut merged = GroupMap::default();
         for r in reports {
             let PostBody::Groups(groups) = r.body else {
                 unreachable!("aggregating workers report groups")
@@ -306,7 +305,7 @@ fn partial_groups(
     budget: &WorkBudget,
     interner: &Arc<Interner>,
 ) -> Result<GroupMap, Timeout> {
-    let mut groups = GroupMap::new();
+    let mut groups = GroupMap::default();
     for t in tuples {
         budget.charge(1)?;
         let ctx = EvalCtx::new(tables, t, interner);
@@ -365,7 +364,7 @@ fn finish_groups(
 /// then LIMIT.
 fn finalize(query: &JoinQuery, rows: &mut Vec<Vec<Value>>, budget: &WorkBudget, sorted: bool) {
     if query.distinct {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = FastSet::default();
         rows.retain(|r| {
             budget.charge(1).ok();
             seen.insert(row_key(r))

@@ -5,17 +5,18 @@
 //! applicable equality predicates". That jump is exactly
 //! [`HashIndex::next_match`]: posting lists are kept sorted, so finding the
 //! first row `>= from` with a given key is a hash lookup plus a binary
-//! search.
-
-use std::collections::HashMap;
+//! search. Postings hash with the process-keyed
+//! [`FastState`](crate::FastState): a probe costs two folded multiplies
+//! instead of a SipHash round.
 
 use crate::column::Column;
+use crate::hash::FastMap;
 use crate::RowId;
 
 /// Hash index over one column: canonical key (`Column::key_at`) → sorted rows.
 #[derive(Debug, Clone, Default)]
 pub struct HashIndex {
-    postings: HashMap<u64, Vec<RowId>>,
+    postings: FastMap<u64, Vec<RowId>>,
 }
 
 impl HashIndex {
@@ -27,7 +28,7 @@ impl HashIndex {
     /// Build an index over the row range `[lo, hi)` of `column`. Chunked
     /// builds are merged by parallel pre-processing.
     pub fn build_range(column: &Column, lo: RowId, hi: RowId) -> Self {
-        let mut postings: HashMap<u64, Vec<RowId>> = HashMap::new();
+        let mut postings: FastMap<u64, Vec<RowId>> = FastMap::default();
         for row in lo..hi {
             postings.entry(column.key_at(row)).or_default().push(row);
         }

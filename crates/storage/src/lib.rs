@@ -11,12 +11,15 @@
 //! * [`HashIndex`] — equality index with *sorted* posting lists, which is what
 //!   enables the "jump to the next matching tuple index" trick of the
 //!   multi-way join (paper Section 4.5),
+//! * [`FastState`] — the process-keyed hasher of the engine's hot hash
+//!   tables (index postings, result sets, grouping),
 //! * [`Value`] / [`DataType`] — the scalar type system.
 
 pub mod catalog;
 pub mod column;
 pub mod csv;
 pub mod disk;
+pub mod hash;
 pub mod index;
 pub mod interner;
 pub mod schema;
@@ -27,6 +30,7 @@ pub use catalog::Catalog;
 pub use column::Column;
 pub use csv::read_csv;
 pub use disk::{bulk_load_csv, DiskError, DiskStore, ZoneCol, ZoneMap};
+pub use hash::{FastMap, FastSet, FastState};
 pub use index::HashIndex;
 pub use interner::Interner;
 pub use schema::{Field, Schema};
