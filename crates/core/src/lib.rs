@@ -18,21 +18,16 @@
 //!   equal time for Skinner-G learning, preserving learning state across
 //!   rounds; bounded regret against both the optimum and the traditional
 //!   plan (Theorems 5.7, 5.8).
-//! * **`skinner_g`** ([`skinner_g::OrderArms`]) — a second generic-engine
-//!   variant: whole join orders as arms of a *single* UCT tree, each episode
-//!   executing one batch under a doubling work-budget cap (the adaptive cap
-//!   `parallel_skinner` prototypes, generalized); abandoned episodes earn
-//!   reward 0, keeping results deterministic.
-//! * **`skinner_h`** ([`skinner_h::run_sliced_hybrid`]) — a second hybrid:
-//!   the `skinner_optimizer` planner's DP/greedy plan raced against the
-//!   `skinner_g` loop in alternating `b, 2b, 4b, …` slices with a one-way
-//!   switchover once the learned side's reward rate dominates.
-//!
 //! * [`parallel`] — **parallel_skinner**: the paper's multi-threaded
-//!   SkinnerC configuration (Section 6.1). Each episode's batch of
-//!   left-most-table tuples is split across N worker threads executing the
-//!   same join order, and all workers learn through one shared concurrent
-//!   UCT tree.
+//!   configuration (Section 6.1) as whole-batch episodes. Each episode
+//!   executes one join order over the next batch of left-most-table tuples,
+//!   split into chunks across N worker threads, under a destructive
+//!   per-episode work cap that doubles whenever an episode is abandoned.
+//!   The coordinator owns one plain [`skinner_uct::UctTree`] and backs up
+//!   the workers' chunk rewards in chunk order, so learning is
+//!   deterministic at any thread count. This is *not* Skinner-C's
+//!   slice-level loop: one thread still runs whole-batch episodes and can
+//!   spend far more work than Skinner-C on the same query.
 //!
 //! * [`cache`] — **cross-query learning**: a bounded, thread-safe cache of
 //!   UCT tree priors keyed by query template, consulted at query start and
@@ -56,16 +51,10 @@ pub mod strategies;
 pub use cache::{
     CacheProbe, QuerySig, RunFeedback, TreeCache, TreeCacheConfig, TreeCacheStats, WarmStart,
 };
-pub use config::{
-    OrderArmsConfig, RewardKind, SkinnerCConfig, SkinnerGConfig, SkinnerHConfig, SlicedHybridConfig,
-};
+pub use config::{RewardKind, SkinnerCConfig, SkinnerGConfig, SkinnerHConfig};
 pub use parallel::{run_parallel_skinner, ParallelSkinnerConfig, ParallelSkinnerStrategy};
 pub use pyramid::PyramidScheme;
 pub use skinner_c::engine::{run_skinner_c, run_skinner_c_fixed};
-pub use skinner_g::{OrderArms, SkinnerG};
-pub use skinner_h::{
-    run_skinner_h, run_sliced_hybrid, WINNER_LEARNED, WINNER_OPTIMIZER, WINNER_TRADITIONAL,
-};
-pub use strategies::{
-    OrderArmsStrategy, SkinnerCStrategy, SkinnerGStrategy, SkinnerHStrategy, SlicedHybridStrategy,
-};
+pub use skinner_g::SkinnerG;
+pub use skinner_h::{run_skinner_h, WINNER_LEARNED, WINNER_TRADITIONAL};
+pub use strategies::{SkinnerCStrategy, SkinnerGStrategy, SkinnerHStrategy};

@@ -362,8 +362,9 @@ pub fn run_skinner_c_fixed(
     }
 }
 
-/// Uniformly random valid join order (learning ablation).
-fn random_order(graph: &JoinGraph, rng: &mut StdRng) -> Vec<usize> {
+/// Uniformly random valid join order (the learning ablation of Skinner-C
+/// and Skinner-G).
+pub(crate) fn random_order(graph: &JoinGraph, rng: &mut StdRng) -> Vec<usize> {
     let m = graph.num_tables();
     let mut order = Vec::with_capacity(m);
     let mut selected = TableSet::EMPTY;

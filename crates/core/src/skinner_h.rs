@@ -10,18 +10,15 @@
 use std::time::Instant;
 
 use skinner_exec::{run_traditional, ExecContext, ExecMetrics, ExecOutcome, TraditionalConfig};
-use skinner_optimizer::{plan_query, PlannerConfig};
 use skinner_query::JoinQuery;
 
-use crate::config::{OrderArmsConfig, SkinnerHConfig, SlicedHybridConfig};
-use crate::skinner_g::{OrderArms, SkinnerG};
+use crate::config::SkinnerHConfig;
+use crate::skinner_g::SkinnerG;
 
 /// Metric value when the traditional side delivered the result.
 pub const WINNER_TRADITIONAL: &str = "traditional";
 /// Metric value when the learned (Skinner-G) side delivered the result.
 pub const WINNER_LEARNED: &str = "learned";
-/// Metric value when `skinner_h`'s optimizer-plan side delivered the result.
-pub const WINNER_OPTIMIZER: &str = "optimizer";
 
 fn hybrid_metrics(winner: Option<&'static str>, rounds: u32) -> ExecMetrics {
     ExecMetrics {
@@ -108,229 +105,6 @@ pub fn run_skinner_h(query: &JoinQuery, ctx: &ExecContext, cfg: &SkinnerHConfig)
     ctx.absorb_work(learner_work);
     ExecOutcome::timeout(columns, traditional_work + learner_work, start.elapsed())
         .with_metrics(hybrid_metrics(None, rounds))
-}
-
-/// Per-query tallies the sliced hybrid reports through its metrics block.
-struct HybridRace {
-    optimizer_slices: u64,
-    learned_slices: u64,
-    switched_at_episode: u64,
-    plan_cost_est: u64,
-}
-
-impl HybridRace {
-    fn metrics(
-        &self,
-        winner: Option<&'static str>,
-        episodes: u64,
-        order: Vec<usize>,
-    ) -> ExecMetrics {
-        ExecMetrics {
-            slices: episodes,
-            order,
-            winner,
-            ..ExecMetrics::default()
-        }
-        .with_counter("optimizer_slices", self.optimizer_slices)
-        .with_counter("learned_slices", self.learned_slices)
-        .with_counter("switched_at_episode", self.switched_at_episode)
-        .with_counter("plan_cost_est", self.plan_cost_est)
-    }
-}
-
-/// Turn the winning side into the hybrid's outcome, charging its
-/// post-processing work (which ran outside any slice grant) to the session
-/// budget.
-fn deliver(
-    ctx: &ExecContext,
-    side: OrderArms<'_>,
-    other_work: u64,
-    winner: &'static str,
-    race: &HybridRace,
-    episodes: u64,
-    start: Instant,
-) -> ExecOutcome {
-    let before = side.work_units();
-    let out = side.into_outcome(); // absorbs into the side's detached budget
-    ctx.absorb_work(out.work_units.saturating_sub(before));
-    ExecOutcome {
-        result: out.result,
-        work_units: other_work + out.work_units,
-        wall: start.elapsed(),
-        timed_out: out.timed_out,
-        metrics: race.metrics(Some(winner), episodes, out.metrics.order),
-    }
-}
-
-/// The `skinner_h` strategy: race the traditional optimizer's plan against
-/// learned execution in alternating regret-bounded slices.
-///
-/// The planner ([`plan_query`]) picks a left-deep order under estimated
-/// cardinalities; one [`OrderArms`] instance attempts that order as a
-/// single destructive execution per slice (no learning, no batching —
-/// paper Section 4.4's doubling-timeout traditional run) while a second
-/// one learns orders as UCT arms over resumable batches. The two alternate
-/// work slices on the paper's `b, 2b, 4b, …` doubling schedule: the
-/// optimizer side's failed attempts sum to at most its final successful
-/// grant (≤ 2× a standalone traditional run, so ≤ 4× total), the learned
-/// side's grants track the optimizer's within one slice, and total work
-/// stays within a small constant of `min(optimizer, learned)` plus the
-/// duplicated pre-processing (`tests/bakeoff.rs` asserts the constant).
-///
-/// Once the learned side's reward rate dominates — its projected total
-/// cost, `work × batches / completed`, falls below the optimizer side's
-/// sunk cost divided by [`SlicedHybridConfig::switch_margin`] — the hybrid
-/// switches over permanently and stops granting optimizer slices. The
-/// invariant is one-way: optimizer slices never resume after the switch,
-/// so `switched_at_episode` is well-defined and deterministic.
-///
-/// Each side runs against a detached budget; the hybrid itself settles
-/// every slice with the session budget, reserving the grant up front via
-/// [`skinner_exec::WorkBudget::try_consume`] and refunding the unused part.
-pub fn run_sliced_hybrid(
-    query: &JoinQuery,
-    ctx: &ExecContext,
-    cfg: &SlicedHybridConfig,
-) -> ExecOutcome {
-    let start = Instant::now();
-    let work_limit = ctx.effective_limit(cfg.work_limit);
-    let plan = plan_query(
-        query,
-        ctx.stats(),
-        &PlannerConfig {
-            dp_table_limit: cfg.dp_table_limit,
-        },
-    );
-
-    let side_ctx = ExecContext::new().with_cancel(ctx.cancel().clone());
-    // The optimizer side runs the plan exactly like a one-shot traditional
-    // execution: a single batch, attempted destructively once per slice.
-    // Under the doubling schedule the failed attempts sum to at most the
-    // final (successful) grant, so its total spend stays within a small
-    // constant of a standalone traditional run — batching it would instead
-    // pay the generic engine's per-invocation hash-build cost once per
-    // batch and void that bound.
-    let mut opt = OrderArms::new(
-        query,
-        &side_ctx,
-        OrderArmsConfig {
-            forced_order: Some(plan.order.clone()),
-            learning: false,
-            batches: 1,
-            base_cap_units: u64::MAX,
-            work_limit: u64::MAX,
-            ..cfg.arms.clone()
-        },
-    );
-    let mut learned = OrderArms::new(
-        query,
-        &side_ctx,
-        OrderArmsConfig {
-            forced_order: None,
-            work_limit: u64::MAX,
-            ..cfg.arms.clone()
-        },
-    );
-    let mut race = HybridRace {
-        optimizer_slices: 0,
-        learned_slices: 0,
-        switched_at_episode: 0,
-        plan_cost_est: plan.cost_est.round() as u64,
-    };
-
-    // Pre-processing ran outside any slice grant; account for it now.
-    let pre_work = opt.work_units() + learned.work_units();
-    let over_budget = ctx.budget().charge(pre_work).is_err() || pre_work > work_limit;
-
-    if !over_budget && learned.is_finished() {
-        // Empty filtered table or always-false predicate: no race needed.
-        let (ow, eps) = (opt.work_units(), opt.episodes() + learned.episodes());
-        return deliver(ctx, learned, ow, WINNER_LEARNED, &race, eps, start);
-    }
-
-    let grant_slice = |side: &mut OrderArms<'_>, slice: u64, total_before: u64| -> bool {
-        let grant = slice.min(work_limit.saturating_sub(total_before));
-        if grant == 0 || !ctx.budget().try_consume(grant) {
-            return false;
-        }
-        let before = side.work_units();
-        side.run_units(grant);
-        let used = side.work_units() - before;
-        // Settle the reservation: keep what was spent (plus the bounded
-        // overshoot of the episode that straddled the grant boundary),
-        // refund the rest.
-        if used >= grant {
-            let _ = ctx.budget().charge(used - grant);
-        } else {
-            ctx.budget().refund(grant - used);
-        }
-        true
-    };
-
-    let mut switched = false;
-    if !over_budget {
-        for round in 0..cfg.max_rounds {
-            let slice = cfg.slice_units.max(1).saturating_mul(1u64 << round.min(32));
-
-            // (a) The optimizer's plan — unless permanently switched away.
-            if !switched {
-                let total = opt.work_units() + learned.work_units();
-                if !grant_slice(&mut opt, slice, total) {
-                    break;
-                }
-                race.optimizer_slices += 1;
-                if opt.is_finished() {
-                    let (lw, eps) = (learned.work_units(), opt.episodes() + learned.episodes());
-                    return deliver(ctx, opt, lw, WINNER_OPTIMIZER, &race, eps, start);
-                }
-                if opt.is_failed() {
-                    break; // interrupted mid-slice
-                }
-            }
-
-            // (b) Learned execution for the same grant.
-            let total = opt.work_units() + learned.work_units();
-            if !grant_slice(&mut learned, slice, total) {
-                break;
-            }
-            race.learned_slices += 1;
-            if learned.is_finished() {
-                let (ow, eps) = (opt.work_units(), opt.episodes() + learned.episodes());
-                return deliver(ctx, learned, ow, WINNER_LEARNED, &race, eps, start);
-            }
-            if learned.is_failed() {
-                break;
-            }
-
-            // Switchover: permanent once the learned side's reward rate
-            // dominates — its projected total cost (work so far scaled to
-            // all batches) is a `switch_margin`-th of what the optimizer
-            // side has already sunk without finishing.
-            if !switched && learned.completed_batches() >= cfg.min_learned_batches {
-                let projected = learned.work_units() as f64 * cfg.arms.batches.max(1) as f64
-                    / learned.completed_batches() as f64;
-                if projected * cfg.switch_margin <= opt.work_units() as f64 {
-                    switched = true;
-                    race.switched_at_episode = learned.episodes();
-                }
-            }
-
-            if ctx.interrupted() || opt.work_units() + learned.work_units() > work_limit {
-                break;
-            }
-        }
-    }
-
-    // Out of rounds, budget, or interrupted: well-formed timeout outcome.
-    // All side work was already settled against the session budget.
-    let columns: Vec<String> = query.select.iter().map(|s| s.name().to_string()).collect();
-    let total_work = opt.work_units() + learned.work_units();
-    let episodes = opt.episodes() + learned.episodes();
-    ExecOutcome::timeout(columns, total_work, start.elapsed()).with_metrics(race.metrics(
-        None,
-        episodes,
-        Vec::new(),
-    ))
 }
 
 #[cfg(test)]
@@ -433,95 +207,5 @@ mod tests {
         let out = run_skinner_h(&q, &ExecContext::default(), &SkinnerHConfig::default());
         assert_eq!(out.result.num_rows(), 0);
         assert!(!out.timed_out);
-    }
-
-    #[test]
-    fn sliced_hybrid_matches_reference_and_reports_counters() {
-        let (cat, udfs) = setup();
-        let q = bind("SELECT a.id FROM a, b WHERE a.id = b.aid", &cat, &udfs);
-        let out = run_sliced_hybrid(&q, &ExecContext::default(), &SlicedHybridConfig::default());
-        assert!(!out.timed_out);
-        assert!(out.metrics.winner.is_some());
-        let expected = run_reference(&q);
-        assert_eq!(out.result.canonical_rows(), expected.canonical_rows());
-        for c in [
-            "optimizer_slices",
-            "learned_slices",
-            "switched_at_episode",
-            "plan_cost_est",
-        ] {
-            assert!(out.metrics.counter(c).is_some(), "missing {c}");
-        }
-        assert!(out.metrics.counter("optimizer_slices").unwrap() >= 1);
-    }
-
-    #[test]
-    fn sliced_hybrid_is_deterministic() {
-        let (cat, udfs) = setup();
-        let q = bind(
-            "SELECT a.id FROM a, b WHERE a.id = b.aid AND opaque_true(a.g, b.w)",
-            &cat,
-            &udfs,
-        );
-        let cfg = SlicedHybridConfig {
-            slice_units: 500,
-            ..Default::default()
-        };
-        let run = || {
-            let out = run_sliced_hybrid(&q, &ExecContext::default(), &cfg);
-            (
-                out.result.canonical_rows(),
-                out.work_units,
-                out.metrics.counter("switched_at_episode"),
-                out.metrics.winner,
-            )
-        };
-        assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn sliced_hybrid_empty_result_short_circuits() {
-        let (cat, udfs) = setup();
-        let q = bind(
-            "SELECT a.id FROM a, b WHERE a.id = b.aid AND a.id > 999",
-            &cat,
-            &udfs,
-        );
-        let out = run_sliced_hybrid(&q, &ExecContext::default(), &SlicedHybridConfig::default());
-        assert_eq!(out.result.num_rows(), 0);
-        assert!(!out.timed_out);
-        assert_eq!(out.metrics.winner, Some(WINNER_LEARNED));
-    }
-
-    #[test]
-    fn sliced_hybrid_respects_work_limit() {
-        let (cat, udfs) = setup();
-        let q = bind("SELECT a.id FROM a, b WHERE a.id = b.aid", &cat, &udfs);
-        let cfg = SlicedHybridConfig {
-            work_limit: 300,
-            slice_units: 50,
-            max_rounds: 3,
-            ..Default::default()
-        };
-        let out = run_sliced_hybrid(&q, &ExecContext::default(), &cfg);
-        if out.timed_out {
-            assert_eq!(out.metrics.winner, None);
-            assert_eq!(out.result.num_rows(), 0);
-        }
-    }
-
-    #[test]
-    fn sliced_hybrid_session_budget_settles_to_actual_work() {
-        use skinner_exec::WorkBudget;
-        use std::sync::Arc;
-        let (cat, udfs) = setup();
-        let q = bind("SELECT a.id FROM a, b WHERE a.id = b.aid", &cat, &udfs);
-        let budget = Arc::new(WorkBudget::unlimited());
-        let ctx = ExecContext::default().with_budget(budget.clone());
-        let out = run_sliced_hybrid(&q, &ctx, &SlicedHybridConfig::default());
-        assert!(!out.timed_out);
-        // Reservations must be fully settled: what the session budget saw
-        // is exactly what the hybrid reports.
-        assert_eq!(budget.used(), out.work_units);
     }
 }

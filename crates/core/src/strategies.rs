@@ -5,12 +5,10 @@
 use skinner_exec::{ExecContext, ExecOutcome, ExecutionStrategy};
 use skinner_query::JoinQuery;
 
-use crate::config::{
-    OrderArmsConfig, SkinnerCConfig, SkinnerGConfig, SkinnerHConfig, SlicedHybridConfig,
-};
+use crate::config::{SkinnerCConfig, SkinnerGConfig, SkinnerHConfig};
 use crate::skinner_c::engine::run_skinner_c;
-use crate::skinner_g::{OrderArms, SkinnerG};
-use crate::skinner_h::{run_skinner_h, run_sliced_hybrid};
+use crate::skinner_g::SkinnerG;
+use crate::skinner_h::run_skinner_h;
 
 /// Skinner-C: the customized engine (paper Section 4.5).
 #[derive(Debug, Clone, Default)]
@@ -54,36 +52,6 @@ impl ExecutionStrategy for SkinnerHStrategy {
     }
 }
 
-/// `skinner_g`: whole join orders as UCT arms under a doubling episode cap
-/// (the optimizer-vs-RL bakeoff's learned contender).
-#[derive(Debug, Clone, Default)]
-pub struct OrderArmsStrategy(pub OrderArmsConfig);
-
-impl ExecutionStrategy for OrderArmsStrategy {
-    fn name(&self) -> &str {
-        "skinner_g"
-    }
-
-    fn execute(&self, query: &JoinQuery, ctx: &ExecContext) -> ExecOutcome {
-        OrderArms::new(query, ctx, self.0.clone()).run_to_completion()
-    }
-}
-
-/// `skinner_h`: the optimizer's plan raced against learned execution in
-/// alternating regret-bounded slices with a one-way switchover.
-#[derive(Debug, Clone, Default)]
-pub struct SlicedHybridStrategy(pub SlicedHybridConfig);
-
-impl ExecutionStrategy for SlicedHybridStrategy {
-    fn name(&self) -> &str {
-        "skinner_h"
-    }
-
-    fn execute(&self, query: &JoinQuery, ctx: &ExecContext) -> ExecOutcome {
-        run_sliced_hybrid(query, ctx, &self.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,8 +85,6 @@ mod tests {
             Box::new(SkinnerCStrategy::default()),
             Box::new(SkinnerGStrategy::default()),
             Box::new(SkinnerHStrategy::default()),
-            Box::new(OrderArmsStrategy::default()),
-            Box::new(SlicedHybridStrategy::default()),
         ];
         for s in strategies {
             let out = s.execute(&q, &ctx);

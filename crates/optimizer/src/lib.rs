@@ -15,8 +15,8 @@
 //!   (the "Optimal" rows of Tables 3 and 4),
 //! * [`planner`] — the planner half of the binder/planner split: bound
 //!   query → [`JoinPlan`] (order + estimated cost), exact DP up to a table
-//!   limit with a greedy fallback beyond it. The traditional engine and the
-//!   `skinner_h` hybrid strategy both plan through it.
+//!   limit with a greedy fallback beyond it. The traditional engine plans
+//!   through it, and so does Skinner-H's traditional side.
 
 pub mod cost;
 pub mod dp;

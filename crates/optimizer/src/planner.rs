@@ -8,7 +8,7 @@
 //! ([`greedy_left_deep`]) that extends the cheapest eligible table at each
 //! step. Both consult the same estimated-cardinality function from
 //! `skinner_stats`, so misestimation hits them equally — which is exactly
-//! what the `skinner_h` hybrid strategy hedges against.
+//! what the Skinner-H hybrid strategy hedges against.
 
 use skinner_query::{JoinGraph, JoinQuery, TableSet};
 use skinner_stats::{Estimator, StatsCache};

@@ -10,9 +10,8 @@
 //! quickly (Krishnan et al.'s lesson that transferred join-order knowledge
 //! must stay revisable).
 //!
-//! Three invariants make priors safe to move between any of the crate's
-//! tree types (`UctTree`, `ConcurrentUctTree`, `ShardedUctTree` all
-//! implement `extract_prior` / `seed_prior`):
+//! Three invariants make priors safe to move from one [`crate::UctTree`]
+//! to another (`extract_prior` / `seed_prior`):
 //!
 //! * **ancestor closure** — extraction sorts nodes by visits (descending)
 //!   then depth and truncates; since every backup that touches a node also

@@ -11,9 +11,8 @@ use std::sync::Arc;
 
 use skinner_adaptive::{EddyConfig, EddyStrategy, ReoptimizerConfig, ReoptimizerStrategy};
 use skinner_core::{
-    OrderArmsConfig, OrderArmsStrategy, ParallelSkinnerConfig, ParallelSkinnerStrategy,
-    SkinnerCConfig, SkinnerCStrategy, SkinnerGConfig, SkinnerGStrategy, SkinnerHConfig,
-    SkinnerHStrategy, SlicedHybridConfig, SlicedHybridStrategy,
+    ParallelSkinnerConfig, ParallelSkinnerStrategy, SkinnerCConfig, SkinnerCStrategy,
+    SkinnerGConfig, SkinnerGStrategy, SkinnerHConfig, SkinnerHStrategy,
 };
 use skinner_exec::{
     ExecutionStrategy, ReferenceStrategy, StrategyRegistry, TraditionalConfig, TraditionalStrategy,
@@ -28,17 +27,10 @@ pub enum Strategy {
     SkinnerG(SkinnerGConfig),
     /// Skinner-H hybrid (Section 4.4).
     SkinnerH(SkinnerHConfig),
-    /// `skinner_g`: whole join orders as UCT arms under a doubling episode
-    /// cap on the generic engine (Section 4.3's loop, re-derived over the
-    /// adaptive cap `parallel_skinner` prototypes).
-    SkinnerGArms(OrderArmsConfig),
-    /// `skinner_h`: the DP/greedy planner's order raced against learned
-    /// execution in alternating regret-bounded slices (Section 4.4's
-    /// schedule) with a one-way switchover.
-    SkinnerHSliced(SlicedHybridConfig),
-    /// Multi-threaded Skinner-C: episode batches split across worker
-    /// threads, all learning through one shared concurrent UCT tree (the
-    /// paper's parallel configuration, Section 6.1).
+    /// Multi-threaded learned execution (the paper's parallel
+    /// configuration, Section 6.1): whole-batch episodes under a doubling
+    /// destructive cap, each batch split across worker threads, learning
+    /// through one coordinator-owned UCT tree.
     ParallelSkinner(ParallelSkinnerConfig),
     /// Traditional statistics + DP optimizer + generic engine.
     Traditional(TraditionalConfig),
@@ -63,8 +55,6 @@ impl Strategy {
             Strategy::SkinnerC(_) => "Skinner-C",
             Strategy::SkinnerG(_) => "Skinner-G",
             Strategy::SkinnerH(_) => "Skinner-H",
-            Strategy::SkinnerGArms(_) => "skinner_g",
-            Strategy::SkinnerHSliced(_) => "skinner_h",
             Strategy::ParallelSkinner(_) => "parallel_skinner",
             Strategy::Traditional(_) => "Traditional",
             Strategy::Eddy(_) => "Eddy",
@@ -79,8 +69,6 @@ impl Strategy {
             Strategy::SkinnerC(cfg) => Arc::new(SkinnerCStrategy(cfg.clone())),
             Strategy::SkinnerG(cfg) => Arc::new(SkinnerGStrategy(cfg.clone())),
             Strategy::SkinnerH(cfg) => Arc::new(SkinnerHStrategy(cfg.clone())),
-            Strategy::SkinnerGArms(cfg) => Arc::new(OrderArmsStrategy(cfg.clone())),
-            Strategy::SkinnerHSliced(cfg) => Arc::new(SlicedHybridStrategy(cfg.clone())),
             Strategy::ParallelSkinner(cfg) => Arc::new(ParallelSkinnerStrategy(cfg.clone())),
             Strategy::Traditional(cfg) => Arc::new(TraditionalStrategy(cfg.clone())),
             Strategy::Eddy(cfg) => Arc::new(EddyStrategy(cfg.clone())),
@@ -95,8 +83,6 @@ impl Strategy {
             Strategy::SkinnerC(SkinnerCConfig::default()),
             Strategy::SkinnerG(SkinnerGConfig::default()),
             Strategy::SkinnerH(SkinnerHConfig::default()),
-            Strategy::SkinnerGArms(OrderArmsConfig::default()),
-            Strategy::SkinnerHSliced(SlicedHybridConfig::default()),
             Strategy::ParallelSkinner(ParallelSkinnerConfig::default()),
             Strategy::Traditional(TraditionalConfig::default()),
             Strategy::Eddy(EddyConfig::default()),
@@ -137,7 +123,7 @@ mod tests {
     #[test]
     fn builtin_registry_is_complete() {
         let reg = builtin_registry();
-        assert_eq!(reg.len(), 10);
+        assert_eq!(reg.len(), 8);
         for s in Strategy::all_builtin() {
             assert!(reg.contains(s.name()), "{} missing", s.name());
         }

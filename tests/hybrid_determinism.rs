@@ -1,28 +1,31 @@
-//! Determinism and cancellation guarantees of the optimizer-vs-RL pair
-//! (`skinner_g`, `skinner_h`), mirroring `parallel_determinism.rs`.
+//! Determinism and cancellation guarantees of the generic-engine learners
+//! (`Skinner-G`, `Skinner-H`), mirroring `parallel_determinism.rs`.
 //!
 //! Both strategies are driven purely by seeded randomness and work-unit
 //! accounting — never wall clock — so repeated runs must agree bit for bit,
-//! including their learning metrics (`switched_at_episode` in particular:
-//! the one-way switchover must happen at the same episode every time). The
-//! thread knob is a no-op for them, so 1/2/4/8 threads must also be
-//! bit-identical. A cancellation or deadline fired mid-slice must still
-//! produce a well-formed (timed-out, partial, fully accounted) outcome.
+//! including their learning metrics (Skinner-G's `timeout_levels`,
+//! Skinner-H's `rounds` and winning side). The thread knob is a no-op for
+//! them, so 1/2/4/8 threads must also be bit-identical. A cancellation or
+//! deadline fired mid-slice must still produce a well-formed (timed-out,
+//! partial, fully accounted) outcome.
 
 use std::time::{Duration, Instant};
 
-use skinnerdb::skinner_core::{OrderArmsConfig, SlicedHybridConfig};
+use skinnerdb::skinner_core::{SkinnerGConfig, SkinnerHConfig};
 use skinnerdb::skinner_workloads::torture::correlation_torture;
 use skinnerdb::{CancelToken, DataType, Database, ExecOutcome, Strategy, Value};
 
 fn skinner_g() -> Strategy {
-    Strategy::SkinnerGArms(OrderArmsConfig::default())
+    Strategy::SkinnerG(SkinnerGConfig::default())
 }
 
 fn skinner_h() -> Strategy {
-    // Small slices → several alternation rounds even on test-sized data.
-    Strategy::SkinnerHSliced(SlicedHybridConfig {
-        slice_units: 500,
+    // Small timeouts → several alternation rounds even on test-sized data.
+    Strategy::SkinnerH(SkinnerHConfig {
+        learner: SkinnerGConfig {
+            base_timeout_units: 500,
+            ..Default::default()
+        },
         ..Default::default()
     })
 }
@@ -33,6 +36,7 @@ struct Fingerprint {
     rows: Vec<String>,
     work_units: u64,
     order: Vec<usize>,
+    winner: Option<&'static str>,
     counters: Vec<(String, Option<u64>)>,
 }
 
@@ -41,6 +45,7 @@ fn fingerprint(out: &ExecOutcome, counters: &[&str]) -> Fingerprint {
         rows: out.result.canonical_rows(),
         work_units: out.work_units,
         order: out.metrics.order.clone(),
+        winner: out.metrics.winner,
         counters: counters
             .iter()
             .map(|&c| (c.to_string(), out.metrics.counter(c)))
@@ -121,28 +126,13 @@ fn assert_reproducible(db: &Database, sql: &str, strategy: &Strategy, counters: 
 #[test]
 fn skinner_g_is_bit_identical_across_runs_and_thread_counts() {
     let db = handmade_db();
-    assert_reproducible(
-        &db,
-        HANDMADE_SQL,
-        &skinner_g(),
-        &["episode_cap_units", "abandoned_episodes"],
-    );
+    assert_reproducible(&db, HANDMADE_SQL, &skinner_g(), &["timeout_levels"]);
 }
 
 #[test]
 fn skinner_h_is_bit_identical_across_runs_and_thread_counts() {
     let db = handmade_db();
-    assert_reproducible(
-        &db,
-        HANDMADE_SQL,
-        &skinner_h(),
-        &[
-            "optimizer_slices",
-            "learned_slices",
-            "switched_at_episode",
-            "plan_cost_est",
-        ],
-    );
+    assert_reproducible(&db, HANDMADE_SQL, &skinner_h(), &["rounds"]);
 }
 
 #[test]
@@ -150,8 +140,8 @@ fn both_are_bit_identical_on_torture_workload() {
     let w = correlation_torture(4, 60, 2);
     let db = Database::from_parts(w.catalog.clone(), w.udfs);
     let script = w.queries[0].script.clone();
-    assert_reproducible(&db, &script, &skinner_g(), &["abandoned_episodes"]);
-    assert_reproducible(&db, &script, &skinner_h(), &["switched_at_episode"]);
+    assert_reproducible(&db, &script, &skinner_g(), &["timeout_levels"]);
+    assert_reproducible(&db, &script, &skinner_h(), &["rounds"]);
 }
 
 /// A join that cannot finish quickly: every pair passes through a generic
@@ -207,11 +197,8 @@ fn skinner_h_cancel_mid_slice_leaves_well_formed_partial_outcome() {
         elapsed < Duration::from_secs(20),
         "hybrid kept running: {elapsed:?}"
     );
-    assert_well_formed_partial(
-        &out,
-        &["optimizer_slices", "learned_slices", "switched_at_episode"],
-    );
-    // Every granted slice was settled back against the session budget.
+    assert_well_formed_partial(&out, &["rounds"]);
+    // Both sides' work was settled back against the session budget.
     assert_eq!(ctx.budget().used(), out.work_units);
 }
 
@@ -237,13 +224,13 @@ fn skinner_g_cancel_mid_episode_leaves_well_formed_partial_outcome() {
         elapsed < Duration::from_secs(20),
         "episode loop kept running: {elapsed:?}"
     );
-    assert_well_formed_partial(&out, &["episode_cap_units", "abandoned_episodes"]);
+    assert_well_formed_partial(&out, &["timeout_levels"]);
     assert_eq!(ctx.budget().used(), out.work_units);
 }
 
 #[test]
 fn session_deadline_stops_both_strategies_promptly() {
-    for name in ["skinner_g", "skinner_h"] {
+    for name in ["Skinner-G", "Skinner-H"] {
         let (db, sql) = slow_db();
         let session = db.session();
         session.use_strategy(name).unwrap();
